@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"selnet/internal/obs"
 	"selnet/internal/selnet"
 	"selnet/internal/serve"
+	"selnet/internal/tensor"
 	"selnet/internal/vecdata"
 )
 
@@ -255,14 +257,35 @@ func setClients(b *testing.B, n int) {
 	b.SetParallelism(p)
 }
 
+// warmPlans runs every batch-size class up to maxBatch from GOMAXPROCS
+// goroutines at once, so the plan compiles of first use, one per class
+// and concurrent lane, happen before the timer starts.
+func warmPlans(net *selnet.Net, maxBatch int) {
+	var wg sync.WaitGroup
+	for g := 0; g < runtime.GOMAXPROCS(0); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for n := 1; n <= maxBatch; n *= 2 {
+					net.EstimateBatch(tensor.New(n, net.Dim()), make([]float64, n))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func BenchmarkServeCoalesced(b *testing.B) {
+	const maxBatch = 32
 	net := servingNet()
 	batcher := serve.NewBatcher(net, serve.BatcherConfig{
-		MaxBatch: 32, FlushInterval: 500 * time.Microsecond, // Lanes: GOMAXPROCS
+		MaxBatch: maxBatch, // Lanes: GOMAXPROCS
 	})
 	defer batcher.Close()
 	queries := servingQueries(256, net.Dim())
 	setClients(b, 8)
+	warmPlans(net, maxBatch)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -287,6 +310,7 @@ func BenchmarkServeNaive(b *testing.B) {
 	net := servingNet()
 	queries := servingQueries(256, net.Dim())
 	setClients(b, 8)
+	warmPlans(net, 1)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

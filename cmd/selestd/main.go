@@ -172,7 +172,6 @@ func main() {
 	var models, data repeatedFlags
 	addr := flag.String("addr", ":8080", "listen address")
 	maxBatch := flag.Int("max-batch", 32, "max requests fused into one inference batch")
-	flush := flag.Duration("flush", 2*time.Millisecond, "max wait for a batch to fill before flushing")
 	lanes := flag.Int("workers", 0, "coalescer lanes per model (independent batching shards; 0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 4096, "LRU estimate cache capacity (0 disables)")
 	quantum := flag.Float64("quantum", 1e-6, "cache key quantization step for query coordinates and thresholds")
@@ -260,7 +259,7 @@ func main() {
 		ackTimeout: *clusterAckTimeout,
 	}
 	cfg := serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: *maxBatch, FlushInterval: *flush, Lanes: *lanes},
+		Batcher: serve.BatcherConfig{MaxBatch: *maxBatch, Lanes: *lanes},
 		Cache:   serve.CacheConfig{Capacity: *cacheSize, Quantum: *quantum},
 	}
 	if err := validateFlags(cfg, opts, oo, co, *routerMode, *drain); err != nil {

@@ -84,7 +84,7 @@ func main() {
 	members := map[string]*member{} // base URL -> member
 	for i := 0; i < n; i++ {
 		srv := serve.NewServer(serve.Config{
-			Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond},
+			Batcher: serve.BatcherConfig{MaxBatch: 16},
 		})
 		pipe := ingest.New(ingest.Config{
 			Registry: srv.Registry(),

@@ -47,7 +47,7 @@ func main() {
 	// 2. Start the serving stack — the same serve.Server that cmd/selestd
 	// runs behind a real listener.
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 16, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 16, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 1024},
 	})
 	defer srv.Close()

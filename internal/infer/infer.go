@@ -14,6 +14,7 @@
 package infer
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -162,9 +163,9 @@ const maxClasses = 16
 type PoolStats struct {
 	// Checkouts counts plan checkouts (Get calls).
 	Checkouts uint64 `json:"checkouts"`
-	// Misses counts checkouts that missed the class's resident fast
-	// path and fell through to the overflow pool or a compile — the
-	// contention signal for concurrent same-class checkouts.
+	// Misses counts checkouts that found every resident slot of the
+	// class empty and fell through to the overflow pool or a compile —
+	// the contention signal for concurrent same-class checkouts.
 	Misses uint64 `json:"misses"`
 	// Compiles counts plan compilations: first use of a class, overflow
 	// under concurrency, and lazy recompiles after Drop or GC.
@@ -174,10 +175,11 @@ type PoolStats struct {
 }
 
 // Pool hands out compiled plans per batch-size class so concurrent
-// requests never share buffers. Each class keeps one resident plan in
-// an atomic slot — the single-request fast path survives GC cycles —
-// plus a sync.Pool overflow for bursts. Plans are compiled lazily on
-// first use of a class.
+// requests never share buffers. Each class keeps GOMAXPROCS resident
+// plans in atomic slots, so as many concurrent checkouts as can run at
+// once survive GC cycles without recompiling, plus a sync.Pool overflow
+// for bursts beyond that. Plans are compiled lazily on first use of a
+// class.
 type Pool struct {
 	compile  func(batch int) *Plan
 	maxBatch int
@@ -191,7 +193,7 @@ type Pool struct {
 }
 
 type poolClass struct {
-	resident atomic.Pointer[Plan]
+	resident []atomic.Pointer[Plan] // GOMAXPROCS slots, fixed at NewPool
 	overflow sync.Pool
 }
 
@@ -206,11 +208,16 @@ func NewPool(maxBatch int, compile func(batch int) *Plan) *Pool {
 	for (1<<(nc-1)) < maxBatch && nc < maxClasses {
 		nc++
 	}
-	return &Pool{
+	p := &Pool{
 		compile:  compile,
 		maxBatch: 1 << (nc - 1),
 		classes:  make([]poolClass, nc),
 	}
+	slots := runtime.GOMAXPROCS(0)
+	for i := range p.classes {
+		p.classes[i].resident = make([]atomic.Pointer[Plan], slots)
+	}
+	return p
 }
 
 // MaxBatch returns the largest batch a single plan covers; larger
@@ -236,8 +243,14 @@ func (p *Pool) Get(n int) *Plan {
 	}
 	p.checkouts.Add(1)
 	cl := &p.classes[p.classFor(n)]
-	if pl := cl.resident.Swap(nil); pl != nil {
-		return pl
+	for i := range cl.resident {
+		slot := &cl.resident[i]
+		if slot.Load() == nil {
+			continue // a load, not a Swap, so empty slots are never written
+		}
+		if pl := slot.Swap(nil); pl != nil {
+			return pl
+		}
 	}
 	p.misses.Add(1)
 	if v := cl.overflow.Get(); v != nil {
@@ -262,8 +275,10 @@ func (p *Pool) Put(pl *Plan) {
 		return
 	}
 	cl := &p.classes[p.classFor(pl.Batch)]
-	if cl.resident.CompareAndSwap(nil, pl) {
-		return
+	for i := range cl.resident {
+		if cl.resident[i].CompareAndSwap(nil, pl) {
+			return
+		}
 	}
 	cl.overflow.Put(pl)
 }
@@ -278,8 +293,10 @@ func (p *Pool) Drop() {
 	p.epoch.Add(1)
 	for i := range p.classes {
 		cl := &p.classes[i]
-		if pl := cl.resident.Swap(nil); pl != nil {
-			pl.Release()
+		for j := range cl.resident {
+			if pl := cl.resident[j].Swap(nil); pl != nil {
+				pl.Release()
+			}
 		}
 		for {
 			v := cl.overflow.Get()

@@ -1,7 +1,9 @@
 package infer
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"selnet/internal/tensor"
@@ -172,4 +174,54 @@ func TestPoolPutAfterDropReleases(t *testing.T) {
 		t.Fatalf("compiles = %d, want 2 (stale plan must not re-pool)", st.Compiles)
 	}
 	p.Put(pl2)
+}
+
+// As many concurrent checkouts of one class as GOMAXPROCS all come back
+// resident, so GC cycles between them never force a recompile: the
+// pool compiles once per slot and then only reuses.
+func TestPoolConcurrentCheckoutsSurviveGC(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	procs := runtime.GOMAXPROCS(0)
+	var compiles atomic.Int64
+	p := NewPool(8, func(batch int) *Plan {
+		compiles.Add(1)
+		return NewPlan(batch, NewProgram(), nil, nil, nil, nil, nil, nil)
+	})
+	for round := 0; round < 5; round++ {
+		// Every goroutine holds its plan until all have checked out, so
+		// procs plans of the class are out at once.
+		plans := make([]*Plan, procs)
+		var out, back sync.WaitGroup
+		out.Add(procs)
+		back.Add(procs)
+		for g := 0; g < procs; g++ {
+			go func() {
+				defer back.Done()
+				plans[g] = p.Get(8)
+				out.Done()
+				out.Wait()
+				p.Put(plans[g])
+			}()
+		}
+		back.Wait()
+		seen := map[*Plan]bool{}
+		for _, pl := range plans {
+			seen[pl] = true
+		}
+		if len(seen) != procs {
+			t.Fatalf("round %d: %d concurrent checkouts shared plans (%d distinct)", round, procs, len(seen))
+		}
+		// Two cycles: the first moves sync.Pool contents to its victim
+		// cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+	}
+	if got := compiles.Load(); got != int64(procs) {
+		t.Fatalf("compiled %d plans, want %d (one per resident slot)", got, procs)
+	}
+	if st := p.Stats(); st.Compiles != uint64(procs) || st.Misses != uint64(procs) {
+		t.Fatalf("stats %+v, want %d compiles and misses", st, procs)
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/serve"
 	"selnet/internal/vecdata"
@@ -31,7 +30,7 @@ func TestHTTPUpdateShadowRetrainHotSwap(t *testing.T) {
 	m.Fit(tc, db, train, valid)
 
 	srv := serve.NewServer(serve.Config{
-		Batcher: serve.BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: serve.BatcherConfig{MaxBatch: 8, Lanes: 2},
 		Cache:   serve.CacheConfig{Capacity: 256},
 	})
 	defer srv.Close()

@@ -28,19 +28,12 @@ type BatcherConfig struct {
 	// MaxBatch is the largest number of requests fused into one
 	// EstimateBatch call (default 32).
 	MaxBatch int
-	// FlushInterval bounds how long a lone request waits for company
-	// before its batch is flushed anyway (default 2ms). Once at least
-	// two requests are fused, a drained queue flushes immediately.
-	FlushInterval time.Duration
 	// Lanes is the number of independent coalescing lanes. Each lane owns
 	// its own queue, gather goroutine, and reusable inference buffers, so
 	// up to Lanes batches run concurrently with no shared contention
 	// point — the single batcher goroutine stops being a throughput
 	// ceiling on multicore. Default: GOMAXPROCS.
 	Lanes int
-	// Workers is the deprecated name for Lanes, honored when Lanes is 0
-	// so existing configurations keep their meaning.
-	Workers int
 	// QueueDepth is each lane's request-channel buffer (default
 	// 4*MaxBatch).
 	QueueDepth int
@@ -49,12 +42,6 @@ type BatcherConfig struct {
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
-	}
-	if c.Lanes <= 0 {
-		c.Lanes = c.Workers
 	}
 	if c.Lanes <= 0 {
 		c.Lanes = runtime.GOMAXPROCS(0)
@@ -71,8 +58,6 @@ type LaneStats struct {
 	Batches uint64 `json:"batches"`
 	// MaxFused is the largest batch this lane fused.
 	MaxFused uint64 `json:"max_fused"`
-	// Timeouts counts batches flushed by the interval timer.
-	Timeouts uint64 `json:"timeouts"`
 }
 
 // BatcherStats is a snapshot of coalescing effectiveness counters,
@@ -84,8 +69,6 @@ type BatcherStats struct {
 	Batches uint64 `json:"batches"`
 	// MaxFused is the largest batch fused so far.
 	MaxFused uint64 `json:"max_fused"`
-	// Timeouts counts batches flushed by the interval timer.
-	Timeouts uint64 `json:"timeouts"`
 	// Lanes holds the per-lane breakdown.
 	Lanes []LaneStats `json:"lanes,omitempty"`
 }
@@ -95,11 +78,12 @@ type BatcherStats struct {
 // since one compiled-plan pass over a B-row tensor is far cheaper than
 // B passes over 1-row tensors. The batcher is sharded into lanes:
 // Submit round-robins requests across per-lane queues, and each lane's
-// goroutine greedily gathers every request queued with it (up to
-// MaxBatch) and flushes as soon as its queue drains, never stalling
-// fused work; only a lone request waits, up to FlushInterval, for a
-// companion. Each lane owns reusable input/output buffers sized to
-// MaxBatch, so with a BatchIntoEstimator the fused pass allocates
+// goroutine batches greedily. It takes the first queued request, adds
+// whatever else is already queued (up to MaxBatch) without blocking,
+// and runs the batch at once. Requests that arrive while a batch runs
+// form the next one, so batches grow with load and a lone request never
+// waits for company. Each lane owns reusable input/output buffers sized
+// to MaxBatch, so with a BatchIntoEstimator the fused pass allocates
 // nothing.
 type Batcher struct {
 	est  Estimator
@@ -122,15 +106,9 @@ type Batcher struct {
 // goroutine's private inference buffers.
 type lane struct {
 	reqs chan batchReq
-	// waiting is 1 while the lane's worker lingers on a lone request
-	// hoping for a companion; Submit joins such a lane so lone requests
-	// fuse immediately instead of every client stalling a FlushInterval
-	// in its own lane when clients are fewer than lanes.
-	waiting atomic.Int32
 
 	batches  atomic.Uint64
 	maxFused atomic.Uint64
-	timeouts atomic.Uint64
 	sizes    *Histogram // fused-batch sizes, exported via /metrics
 
 	// Gather/run state owned by the lane goroutine: the reused batch
@@ -165,7 +143,8 @@ type BatchTiming struct {
 	// worker dequeuing the request.
 	Queue time.Duration
 	// Fuse is the gather time: from this request's dequeue until the
-	// fused batch launches (lane-mates arriving, rows copied in).
+	// fused batch launches (already-queued lane-mates drained, rows
+	// copied in).
 	Fuse time.Duration
 	// Execute is the fused inference call (shared by the whole batch).
 	Execute time.Duration
@@ -227,36 +206,37 @@ func (b *Batcher) SubmitTimed(ctx context.Context, x []float64, t float64) (floa
 	defer b.inflight.Done()
 
 	b.requests.Add(1)
-	l := b.pickLane()
-	r := batchReq{x: x, t: t, enq: time.Now(), out: make(chan batchRes, 1)}
+	l := b.lanes[b.next.Add(1)%uint64(len(b.lanes))]
+	out, _ := replyChans.Get().(chan batchRes)
+	if out == nil {
+		out = make(chan batchRes, 1)
+	}
+	r := batchReq{x: x, t: t, enq: time.Now(), out: out}
 	select {
 	case l.reqs <- r:
 	case <-ctx.Done():
+		replyChans.Put(out) // never handed to a lane
 		return 0, BatchTiming{}, ctx.Err()
 	}
 	// The lane worker always answers (even on panic), so waiting only on
 	// ctx alongside the reply never leaks the request.
 	select {
-	case res := <-r.out:
+	case res := <-out:
+		replyChans.Put(out)
 		return res.v, res.timing, res.err
 	case <-ctx.Done():
+		// The lane still owns out and will write to it later, so it is
+		// abandoned rather than recycled: a late reply must never land
+		// in a channel another request is waiting on.
 		return 0, BatchTiming{}, ctx.Err()
 	}
 }
 
-// pickLane chooses where to queue a request: a lane whose worker is
-// lingering on a lone request gets joined (the pair flushes as soon as
-// it fuses — under light load this keeps latency at fuse time, not
-// FlushInterval, no matter how many lanes exist); otherwise requests
-// round-robin so heavy load spreads across every lane.
-func (b *Batcher) pickLane() *lane {
-	for _, l := range b.lanes {
-		if l.waiting.Load() != 0 {
-			return l
-		}
-	}
-	return b.lanes[b.next.Add(1)%uint64(len(b.lanes))]
-}
+// replyChans recycles the one-slot reply channels of answered requests,
+// so a submit allocates nothing in steady state. A channel goes back
+// only once empty: after its reply was received, or if it never left
+// the submitter.
+var replyChans sync.Pool
 
 // Close stops accepting submissions, waits for queued requests to be
 // answered, and stops the lane workers. It is idempotent.
@@ -310,11 +290,9 @@ func (b *Batcher) Stats() BatcherStats {
 		ls := LaneStats{
 			Batches:  l.batches.Load(),
 			MaxFused: l.maxFused.Load(),
-			Timeouts: l.timeouts.Load(),
 		}
 		s.Lanes[i] = ls
 		s.Batches += ls.Batches
-		s.Timeouts += ls.Timeouts
 		if ls.MaxFused > s.MaxFused {
 			s.MaxFused = ls.MaxFused
 		}
@@ -322,57 +300,25 @@ func (b *Batcher) Stats() BatcherStats {
 	return s
 }
 
-// worker gathers and runs one lane's batches until its channel closes.
+// worker runs one lane's batches until its channel closes. Each batch
+// is the first queued request plus whatever else is already queued, up
+// to MaxBatch; nothing waits for requests that have not arrived.
 func (b *Batcher) worker(l *lane) {
 	defer b.wg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for first := range l.reqs {
 		first.deq = time.Now()
 		batch := append(l.buf[:0], first)
-		timer.Reset(b.cfg.FlushInterval)
-	gather:
+	drain:
 		for len(batch) < b.cfg.MaxBatch {
-			// Greedy drain: take whatever is already queued without
-			// blocking.
 			select {
 			case r, ok := <-l.reqs:
 				if !ok {
-					break gather
+					break drain
 				}
 				r.deq = time.Now()
 				batch = append(batch, r)
-				continue
 			default:
-			}
-			// Queue drained. With two or more requests fused there is
-			// nothing to wait for — stalling here would add the flush
-			// interval to every closed-loop client's latency. A lone
-			// request lingers up to the flush interval for company.
-			if len(batch) > 1 {
-				break gather
-			}
-			l.waiting.Store(1)
-			select {
-			case r, ok := <-l.reqs:
-				l.waiting.Store(0)
-				if !ok {
-					break gather
-				}
-				r.deq = time.Now()
-				batch = append(batch, r)
-			case <-timer.C:
-				l.waiting.Store(0)
-				l.timeouts.Add(1)
-				break gather
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+				break drain
 			}
 		}
 		b.run(l, batch)
@@ -382,10 +328,13 @@ func (b *Batcher) worker(l *lane) {
 // run executes one fused EstimateBatch call over the lane's buffers and
 // distributes results.
 func (b *Batcher) run(l *lane, batch []batchReq) {
+	answered := 0
 	defer func() {
 		if p := recover(); p != nil {
 			err := fmt.Errorf("serve: batched inference panicked: %v", p)
-			for _, r := range batch {
+			// Only requests not yet answered get the error: an answered
+			// submitter may already have recycled its reply channel.
+			for _, r := range batch[answered:] {
 				// Buffered reply channels: never blocks, even if the
 				// submitter already gave up on ctx.
 				r.out <- batchRes{err: err}
@@ -419,5 +368,6 @@ func (b *Batcher) run(l *lane, batch []batchReq) {
 			Execute:   exec,
 			BatchSize: n,
 		}}
+		answered = i + 1
 	}
 }

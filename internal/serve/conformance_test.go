@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/modelcodec"
 	"selnet/internal/modeltest"
@@ -134,7 +133,7 @@ func TestEveryKindServesOverHTTP(t *testing.T) {
 		t.Skip("fits one model per estimator kind")
 	}
 	_, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, Lanes: 2},
 		Cache:   CacheConfig{Capacity: 64},
 	})
 	dir := t.TempDir()

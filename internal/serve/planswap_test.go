@@ -24,7 +24,7 @@ func TestConcurrentSubmitDuringPlanHotSwap(t *testing.T) {
 	want := base.Estimate([]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, 0.5)
 
 	reg := NewRegistry(func(est Estimator) *Batcher {
-		return NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: 200 * time.Microsecond, Lanes: 2})
+		return NewBatcher(est, BatcherConfig{MaxBatch: 8, Lanes: 2})
 	})
 	if _, err := reg.Publish("m", base, "seed"); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestConcurrentSubmitDuringPlanHotSwap(t *testing.T) {
 // should see at least one batch.
 func TestBatcherLanesAllServe(t *testing.T) {
 	est := newFakeEst(4)
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, FlushInterval: 100 * time.Microsecond, Lanes: 3})
+	b := NewBatcher(est, BatcherConfig{MaxBatch: 4, Lanes: 3})
 	defer b.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 9; g++ {
@@ -126,30 +126,30 @@ func TestBatcherLanesAllServe(t *testing.T) {
 	}
 }
 
-// With more lanes than clients, a lone lingering request must be joined
-// by the next submit (fusing immediately) instead of each client
-// stalling a full FlushInterval in its own lane.
-func TestLoneRequestsFuseAcrossLanes(t *testing.T) {
+// A lone request runs at once, even with more lanes than clients: its
+// batch holds only itself and launches without waiting for company.
+func TestLoneSubmitRunsAtOnce(t *testing.T) {
 	est := newFakeEst(2)
-	const flush = 300 * time.Millisecond
-	b := NewBatcher(est, BatcherConfig{MaxBatch: 8, FlushInterval: flush, Lanes: 8})
+	b := NewBatcher(est, BatcherConfig{MaxBatch: 8, Lanes: 8})
 	defer b.Close()
 
-	first := make(chan struct{})
-	go func() {
-		close(first)
-		b.Submit(context.Background(), []float64{1, 2}, 0.5)
-	}()
-	<-first
-	time.Sleep(30 * time.Millisecond) // let the first request enter its lone linger
-	start := time.Now()
-	if _, err := b.Submit(context.Background(), []float64{3, 4}, 0.5); err != nil {
-		t.Fatal(err)
+	fastest := time.Hour
+	for i := 0; i < 16; i++ {
+		_, bt, err := b.SubmitTimed(context.Background(), []float64{1, float64(i)}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bt.BatchSize != 1 {
+			t.Fatalf("lone request %d shared a batch of %d", i, bt.BatchSize)
+		}
+		fastest = min(fastest, bt.Fuse)
 	}
-	if d := time.Since(start); d > flush/2 {
-		t.Fatalf("second request took %v: it waited out the flush interval instead of joining the lingering lane", d)
+	// Scheduling noise may stretch one gather, but a lane that waited
+	// for company would stretch every one.
+	if fastest > time.Millisecond {
+		t.Fatalf("fastest lone gather took %v, want no fuse wait", fastest)
 	}
-	if st := b.Stats(); st.MaxFused < 2 {
-		t.Fatalf("max fused = %d, want >= 2 (requests must have coalesced)", st.MaxFused)
+	if st := b.Stats(); st.Batches != 16 || st.MaxFused != 1 {
+		t.Fatalf("stats %+v, want 16 batches of 1", st)
 	}
 }

@@ -822,8 +822,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				"counter", float64(bs.Requests), "model", m.Name)
 			p.Value("selestd_batcher_batches_total", "Fused EstimateBatch calls.", "counter",
 				float64(bs.Batches), "model", m.Name)
-			p.Value("selestd_batcher_timeouts_total", "Batches flushed by the interval timer.",
-				"counter", float64(bs.Timeouts), "model", m.Name)
 			p.Value("selestd_batcher_lanes", "Coalescer lanes (independent shards).", "gauge",
 				float64(len(bs.Lanes)), "model", m.Name)
 			for lane, hist := range b.LaneSizeHistograms() {

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"selnet/internal/selnet"
 )
@@ -74,7 +73,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 func TestServerEndToEnd(t *testing.T) {
 	const dim = 4
 	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: time.Millisecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, Lanes: 2},
 		Cache:   CacheConfig{Capacity: 64},
 	})
 
@@ -249,7 +248,7 @@ func TestServerErrorPaths(t *testing.T) {
 func TestServerHotSwapUnderLoad(t *testing.T) {
 	const dim = 4
 	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 8, FlushInterval: 500 * time.Microsecond, Workers: 2},
+		Batcher: BatcherConfig{MaxBatch: 8, Lanes: 2},
 		// Cache disabled so every request exercises inference + batcher.
 		Cache: CacheConfig{Capacity: 0},
 	})
@@ -330,7 +329,7 @@ func TestServerHotSwapUnderLoad(t *testing.T) {
 // the batcher closed, and must answer inline instead of returning 503.
 func TestServerEstimateFallsBackWhenBatcherClosed(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Batcher: BatcherConfig{MaxBatch: 4, FlushInterval: time.Millisecond, Workers: 1},
+		Batcher: BatcherConfig{MaxBatch: 4, Lanes: 1},
 	})
 	net := tinyNet(1, 3)
 	path := filepath.Join(t.TempDir(), "m.gob")
