@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +55,7 @@ type Server struct {
 	requests atomic.Uint64 // HTTP requests accepted
 	errors   atomic.Uint64 // requests answered 4xx/5xx
 	swaps    atomic.Uint64 // registry hot-swaps (replacing publishes)
-	latency  map[string]*Histogram
+	latency  map[string]*obs.Histogram
 }
 
 // NewServer builds a server with an empty registry.
@@ -70,7 +72,7 @@ func NewServer(cfg Config) *Server {
 		}
 	})
 	s.cache = NewCache(cfg.Cache)
-	s.latency = make(map[string]*Histogram)
+	s.latency = make(map[string]*obs.Histogram)
 	return s
 }
 
@@ -196,7 +198,7 @@ func (s *Server) Handler() http.Handler {
 // timed wraps a handler with the route's latency histogram. Handler
 // registration happens before traffic, so the map needs no lock.
 func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
-	hist := NewHistogram(LatencyBuckets()...)
+	hist := obs.NewHistogram(obs.LatencyBuckets()...)
 	s.latency[route] = hist
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -596,9 +598,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			sb.stage(obs.StageCache)
 			sb.setCached(true)
 			s.offerShadow(r, m, 0, req.Query, req.T, v)
-			writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T, Cached: true})
+			status := writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T, Cached: true})
 			sb.stage(obs.StageEncode)
-			s.endSpan(sb, http.StatusOK)
+			s.endSpan(sb, status)
 			return
 		}
 	}
@@ -639,9 +641,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	sb.stage(obs.StageCache)
 	s.offerShadow(r, m, 0, req.Query, req.T, v)
-	writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T})
+	status = writeJSON(w, http.StatusOK, estimateResponse{Model: m.Name, Estimate: v, T: req.T})
 	sb.stage(obs.StageEncode)
-	s.endSpan(sb, http.StatusOK)
+	s.endSpan(sb, status)
 }
 
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
@@ -651,64 +653,67 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		s.endSpan(sb, status)
 	}
-	var req estimateBatchRequest
-	if err := decodeJSON(r, &req); err != nil {
+	// The decoded queries and thresholds back the inference tensor. No
+	// estimator keeps its inputs past EstimateBatch and the shadow tap
+	// copies what it samples, so the body goes back to the pool on exit.
+	req := getBatchBody()
+	defer putBatchBody(req)
+	if err := decodeJSON(r, req); err != nil {
 		fail(http.StatusBadRequest, err)
 		return
 	}
-	if len(req.Queries) == 0 {
+	n := len(req.lens)
+	if n == 0 {
 		fail(http.StatusBadRequest, errors.New("empty \"queries\""))
 		return
 	}
-	ts := req.Ts
 	switch {
-	case req.T != nil && len(ts) > 0:
+	case req.hasT && len(req.ts) > 0:
 		fail(http.StatusBadRequest, errors.New("provide \"t\" or \"ts\", not both"))
 		return
-	case req.T != nil:
-		ts = make([]float64, len(req.Queries))
-		for i := range ts {
-			ts[i] = *req.T
+	case req.hasT:
+		for range n {
+			req.ts = append(req.ts, req.t)
 		}
-	case len(ts) != len(req.Queries):
+	case len(req.ts) != n:
 		fail(http.StatusBadRequest,
-			fmt.Errorf("%d queries but %d thresholds", len(req.Queries), len(ts)))
+			fmt.Errorf("%d queries but %d thresholds", n, len(req.ts)))
 		return
 	}
-	m, status, err := s.lookup(req.Model, req.Queries[0])
+	m, status, err := s.lookup(req.model, req.flat[:req.lens[0]])
 	if err != nil {
 		fail(status, err)
 		return
 	}
 	sb.setModel(m.Name)
-	sb.setBatchSize(len(req.Queries))
-	sb.stage(obs.StageDecode)
-	x := tensor.New(len(req.Queries), m.Est.Dim())
-	for i, q := range req.Queries {
-		if len(q) != m.Est.Dim() {
+	sb.setBatchSize(n)
+	dim := m.Est.Dim()
+	for i, l := range req.lens {
+		if l != dim {
 			fail(http.StatusBadRequest,
-				fmt.Errorf("query %d has dim %d, model %q expects %d", i, len(q), m.Name, m.Est.Dim()))
+				fmt.Errorf("query %d has dim %d, model %q expects %d", i, l, m.Name, dim))
 			return
 		}
-		copy(x.Row(i), q)
 	}
-	// The tensor fill is this route's fuse work: one client batch
-	// becomes one fused inference batch.
+	sb.stage(obs.StageDecode)
+	// Every row has the model's dim, so the decoded coordinates already
+	// are the row-major batch: wrapping them is this route's fuse work.
+	x := tensor.FromSlice(n, dim, req.flat)
 	sb.stage(obs.StageFuse)
 	// Already a batch: run the tensor pass directly, bypassing the
 	// coalescer (which exists to fuse separate requests).
-	est := m.Est.EstimateBatch(x, ts)
+	est := m.Est.EstimateBatch(x, req.ts)
 	sb.stage(obs.StageExecute)
 	if s.shadow.Enabled() {
 		// Each query in the batch gets its own sampling decision, salted
 		// by its index so one traced request doesn't sample all-or-none.
-		for i, q := range req.Queries {
-			s.offerShadow(r, m, uint64(i+1), q, ts[i], est[i])
+		for i := range n {
+			s.offerShadow(r, m, uint64(i+1), x.Row(i), req.ts[i], est[i])
 		}
 	}
-	writeJSON(w, http.StatusOK, estimateBatchResponse{Model: m.Name, Estimates: est})
+	status = writeJSON(w, http.StatusOK, estimateBatchResponse{Model: m.Name, Estimates: est})
 	sb.stage(obs.StageEncode)
-	s.endSpan(sb, http.StatusOK)
+	s.endSpan(sb, status)
 }
 
 func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
@@ -781,7 +786,7 @@ func (s *Server) handleUpdateModel(w http.ResponseWriter, r *http.Request) {
 // histograms, and (when an updater is attached) ingest queue gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p := newPromWriter(w)
+	p := obs.NewPromWriter(w)
 	p.Value("selestd_uptime_seconds", "Seconds since the server started.", "gauge",
 		time.Since(s.started).Seconds())
 	p.Value("selestd_http_requests_total", "HTTP requests accepted.", "counter",
@@ -974,25 +979,34 @@ func (s *Server) lookup(name string, query []float64) (*Model, int, error) {
 }
 
 // ----------------------------------------------------------------------------
-// JSON plumbing
+// JSON plumbing (request decoding lives in decode.go)
 
-// maxBodyBytes caps request bodies, both when decoding locally and when
-// buffering for a cluster forward.
-const maxBodyBytes = 16 << 20
+// encodeBufs recycles response buffers; writeJSON drops any that grew
+// past maxPooledBody.
+var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+// writeJSON encodes v before it writes the status, so a value JSON
+// cannot carry (a NaN or infinite estimate) is answered 500 with the
+// error envelope rather than a status with an empty body. It returns
+// the status written.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
+	buf := encodeBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			encodeBufs.Put(buf)
+		}
+	}()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		body := errorBody{Code: errorCode(status, err), Message: fmt.Sprintf("encode response: %v", err)}
+		_ = json.NewEncoder(buf).Encode(errorResponse{Error: body})
 	}
-	return nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
+	return status
 }
 
 // writeError renders err in the error envelope. Throttle and failover

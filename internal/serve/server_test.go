@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -355,5 +356,34 @@ func TestServerEstimateFallsBackWhenBatcherClosed(t *testing.T) {
 	}
 	if want := net.Estimate(q, 0.2); er.Estimate != want {
 		t.Fatalf("fallback estimate = %v, want %v", er.Estimate, want)
+	}
+}
+
+// TestNonFiniteEstimateIsInternalError checks that an estimate JSON
+// cannot carry (NaN, ±Inf) is answered 500 with the error envelope on
+// both estimate routes, not as a 200 with an empty body.
+func TestNonFiniteEstimateIsInternalError(t *testing.T) {
+	for _, cfg := range []Config{{}, {NoBatch: true}} {
+		s, ts := newTestServer(t, cfg)
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if _, err := s.Registry().Publish("m", regionEstimator{v: v}, "mem"); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				route string
+				body  any
+			}{
+				{"/v1/estimate", estimateRequest{Model: "m", Query: []float64{0.1, 0.2}, T: 0.5}},
+				{"/v1/estimate/batch", estimateBatchRequest{Model: "m", Queries: [][]float64{{0.1, 0.2}}, Ts: []float64{0.5}}},
+			} {
+				resp, body := postJSON(t, ts.URL+c.route, c.body)
+				var e errorResponse
+				if err := json.Unmarshal(body, &e); err != nil || resp.StatusCode != http.StatusInternalServerError ||
+					e.Error.Code != "internal" || e.Error.Message == "" {
+					t.Errorf("NoBatch=%v %s estimate %v: status %d body %q, want 500 with code internal",
+						cfg.NoBatch, c.route, v, resp.StatusCode, body)
+				}
+			}
+		}
 	}
 }
